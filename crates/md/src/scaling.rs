@@ -95,8 +95,14 @@ pub fn weak_scaling_point(cpus: u32) -> Result<WeakScalingPoint, SimError> {
     let ghost_bytes = (shell_atoms * 24.0) as u64;
 
     let np = cpus as usize;
-    let mut spec = WorkloadSpec::with_ranks(np);
     const SIM_STEPS: u32 = 2;
+    // Per step: the force phase plus three axes of two-sided halo (two
+    // sends, two receives each). Sized up front, the programs of a
+    // 2,040-rank point hold no growth slack.
+    let ops_per_rank = SIM_STEPS as usize * (1 + 3 * 4);
+    let mut spec = WorkloadSpec {
+        ranks: (0..np).map(|_| Vec::with_capacity(ops_per_rank)).collect(),
+    };
     // Neighbour distances in the 3-D process grid.
     let px = (np as f64).cbrt().round().max(1.0) as usize;
     for step in 0..SIM_STEPS {

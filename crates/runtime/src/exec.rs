@@ -3,11 +3,12 @@
 //!
 //! Workload crates (NPB, NPB-MZ, MD, the CFD applications) describe
 //! each benchmark as per-rank programs of [`SpecOp`]s — compute phases
-//! plus communication. The executor resolves every compute phase to
-//! seconds using the [`NodeComputeModel`] for the rank's node (its
-//! thread team, placement sharers, compiler, pinning), then hands the
-//! resulting [`Op`] programs to `columbia_simnet::simulate` on the
-//! configured fabric.
+//! plus communication. The executor hands the engine a [`LoweredSpec`]
+//! view of those programs on the configured fabric. The view resolves a
+//! compute phase to seconds when the engine reads it, using the
+//! [`NodeComputeModel`] of the rank's node (its thread team, placement
+//! sharers, compiler, pinning). The models are built once per run, one
+//! per node, so lowering is linear in the ops the engine executes.
 
 use columbia_machine::cluster::{ClusterConfig, InterNodeFabric, NodeId};
 use columbia_obs::{sink, NullTracer, RecordingTracer, Tracer};
@@ -16,6 +17,7 @@ use columbia_simnet::fabric::{CachedFabric, ClusterFabric, MptVersion};
 use columbia_simnet::fault::{
     ConnectionLimit, ConnectionPolicy, FaultPlan, DEFAULT_MULTIPLEX_QUEUE_PENALTY,
 };
+use columbia_simnet::program::Programs;
 use columbia_simnet::SimError;
 
 use crate::compiler::CompilerVersion;
@@ -160,21 +162,26 @@ impl ExecConfig {
         )
     }
 
-    /// The compute model for one rank.
-    fn model_for_rank(&self, rank: usize) -> NodeComputeModel {
-        let home = self.placement.rank_cpu(rank);
-        let node = self.cluster.node_model(home.node);
+    /// The compute model of every node of the cluster, indexed by
+    /// [`NodeId`]. Everything but the node flavour is a property of the
+    /// whole run, so one model per node serves all of its ranks.
+    fn node_models(&self) -> Vec<NodeComputeModel> {
         let units = self.total_cpus() as u32;
         let pool = 512u32.min(units.max(2));
-        NodeComputeModel::new(
-            node,
-            self.compiler,
-            self.pinning,
-            units,
-            pool,
-            self.placement.mean_bus_sharers(&self.cluster),
-            self.placement.boot_cpuset_overlap,
-        )
+        let sharers = self.placement.mean_bus_sharers(&self.cluster);
+        (0..self.cluster.nodes.len() as u32)
+            .map(|id| {
+                NodeComputeModel::new(
+                    self.cluster.node_model(NodeId(id)),
+                    self.compiler,
+                    self.pinning,
+                    units,
+                    pool,
+                    sharers,
+                    self.placement.boot_cpuset_overlap,
+                )
+            })
+            .collect()
     }
 
     /// The fault plan to simulate under: the configured plan, with the
@@ -246,43 +253,7 @@ pub fn execute_traced<T: Tracer>(
             placements: cfg.placement.ranks(),
         });
     }
-    let threads = cfg.placement.threads() as u32;
-    let programs: Vec<Vec<Op>> = spec
-        .ranks
-        .iter()
-        .enumerate()
-        .map(|(r, ops)| {
-            let model = cfg.model_for_rank(r);
-            ops.iter()
-                .map(|op| match op {
-                    SpecOp::Work(phase) => Op::Compute(model.seconds(phase, threads)),
-                    SpecOp::Send { to, bytes, tag } => Op::Send {
-                        to: *to,
-                        bytes: *bytes,
-                        tag: *tag,
-                    },
-                    SpecOp::Recv { from, tag } => Op::Recv {
-                        from: *from,
-                        tag: *tag,
-                    },
-                    SpecOp::Exchange { with, bytes, tag } => Op::Exchange {
-                        with: *with,
-                        bytes: *bytes,
-                        tag: *tag,
-                    },
-                    SpecOp::Barrier => Op::Barrier,
-                    SpecOp::AllReduce { bytes } => Op::AllReduce { bytes: *bytes },
-                    SpecOp::AllToAll { bytes_per_pair } => Op::AllToAll {
-                        bytes_per_pair: *bytes_per_pair,
-                    },
-                    SpecOp::Bcast { root, bytes } => Op::Bcast {
-                        root: *root,
-                        bytes: *bytes,
-                    },
-                })
-                .collect()
-        })
-        .collect();
+    let programs = LoweredSpec::new(spec, cfg);
     // Precompute the pair-class cost tables and run the monomorphized
     // engine path; bit-identical to the dynamic, uncached path
     // (property-tested in simnet), just without the per-message
@@ -290,12 +261,65 @@ pub fn execute_traced<T: Tracer>(
     let fabric = CachedFabric::new(cfg.fabric());
     let plan = cfg.effective_faults();
     simulate_traced_on(
-        programs.as_slice(),
+        &programs,
         &cfg.placement.rank_cpus(),
         &fabric,
         &plan,
         tracer,
     )
+}
+
+/// The engine's view of a [`WorkloadSpec`] under an [`ExecConfig`].
+///
+/// It borrows the spec's rank programs and maps each [`SpecOp`] to an
+/// [`Op`] when the engine reads it: a compute phase is costed then, by
+/// the model of the rank's home node. No second copy of the programs
+/// is built. The mapping is pure, as [`Programs`] requires.
+pub struct LoweredSpec<'a> {
+    ranks: &'a [Vec<SpecOp>],
+    placement: &'a Placement,
+    /// One compute model per cluster node, indexed by [`NodeId`].
+    models: Vec<NodeComputeModel>,
+    threads: u32,
+}
+
+impl<'a> LoweredSpec<'a> {
+    /// The view of `spec` executing under `cfg`. `spec` must have one
+    /// program per placed rank (checked by [`execute_traced`]).
+    pub fn new(spec: &'a WorkloadSpec, cfg: &'a ExecConfig) -> Self {
+        LoweredSpec {
+            ranks: &spec.ranks,
+            placement: &cfg.placement,
+            models: cfg.node_models(),
+            threads: cfg.placement.threads() as u32,
+        }
+    }
+}
+
+impl Programs for LoweredSpec<'_> {
+    fn n_ranks(&self) -> usize {
+        self.ranks.len()
+    }
+
+    fn op(&self, rank: usize, pc: usize) -> Option<Op> {
+        Some(match *self.ranks[rank].get(pc)? {
+            SpecOp::Work(ref phase) => {
+                let node = self.placement.rank_cpu(rank).node;
+                Op::Compute(self.models[node.0 as usize].seconds(phase, self.threads))
+            }
+            SpecOp::Send { to, bytes, tag } => Op::Send { to, bytes, tag },
+            SpecOp::Recv { from, tag } => Op::Recv { from, tag },
+            SpecOp::Exchange { with, bytes, tag } => Op::Exchange { with, bytes, tag },
+            SpecOp::Barrier => Op::Barrier,
+            SpecOp::AllReduce { bytes } => Op::AllReduce { bytes },
+            SpecOp::AllToAll { bytes_per_pair } => Op::AllToAll { bytes_per_pair },
+            SpecOp::Bcast { root, bytes } => Op::Bcast { root, bytes },
+        })
+    }
+
+    fn len_of(&self, rank: usize) -> usize {
+        self.ranks[rank].len()
+    }
 }
 
 #[cfg(test)]

@@ -31,6 +31,6 @@ pub mod placement;
 
 pub use compiler::{CompilerVersion, KernelClass};
 pub use compute::{NodeComputeModel, WorkPhase};
-pub use exec::{execute, execute_traced, ExecConfig, SpecOp, WorkloadSpec};
+pub use exec::{execute, execute_traced, ExecConfig, LoweredSpec, SpecOp, WorkloadSpec};
 pub use pinning::Pinning;
 pub use placement::{Placement, PlacementStrategy};

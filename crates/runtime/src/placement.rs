@@ -159,18 +159,32 @@ impl Placement {
 
     /// Mean number of bus sharers over all workers (1.0 = every worker
     /// owns its bus, 2.0 = fully dense).
+    ///
+    /// By definition the mean over every node's active CPUs of
+    /// `CBrick::bus_sharers(c, active)`. Each of a bus's `k` active CPUs
+    /// counts `k` sharers, so the sum is `Σ_bus k²` over `Σ k` CPUs —
+    /// computed here from per-bus counts in one sort of the placement.
+    /// Both sums are integers, so the `f64` result is bit-identical to
+    /// the per-CPU definition.
     pub fn mean_bus_sharers(&self, cluster: &ClusterConfig) -> f64 {
-        let mut total = 0.0f64;
-        let mut n = 0.0f64;
-        for node in &self.nodes {
-            let brick = cluster.node_model(*node).brick;
-            let active = self.active_on_node(*node);
-            for &c in &active {
-                total += brick.bus_sharers(c, &active) as f64;
-                n += 1.0;
+        // Sorted by node, then CPU: each node's active set is one run,
+        // and each bus's CPUs are adjacent within it.
+        let mut active: Vec<CpuId> = self.cpus.iter().flatten().copied().collect();
+        active.sort_unstable();
+        active.dedup();
+        let mut total = 0u64;
+        let mut n = 0u64;
+        for &node in &self.nodes {
+            let brick = cluster.node_model(node).brick;
+            let lo = active.partition_point(|c| c.node < node);
+            let hi = active.partition_point(|c| c.node <= node);
+            for bus in active[lo..hi].chunk_by(|a, b| brick.bus_of(a.cpu) == brick.bus_of(b.cpu)) {
+                let k = bus.len() as u64;
+                total += k * k;
+                n += k;
             }
         }
-        total / n.max(1.0)
+        total as f64 / (n as f64).max(1.0)
     }
 }
 

@@ -145,6 +145,10 @@ pub(crate) struct RankState {
     pub(crate) comm: f64,
     /// Sequence number of the next collective this rank will join.
     pub(crate) coll_seq: usize,
+    /// The rank is blocked in an [`Op::Exchange`] whose send half has
+    /// already gone out, so waking up must not send it again. A rank
+    /// blocks on one op at a time, so one flag suffices.
+    pub(crate) half_sent: bool,
 }
 
 impl RankState {
@@ -155,6 +159,7 @@ impl RankState {
             compute: 0.0,
             comm: 0.0,
             coll_seq: 0,
+            half_sent: false,
         }
     }
 }
@@ -712,24 +717,33 @@ fn simulate_core<T: Tracer, M: MailboxOps, P: Programs + ?Sized, F: Fabric + ?Si
                 }
                 Op::Exchange { with, bytes, tag } => {
                     // Decompose into send + recv so the partner's
-                    // schedule is honoured. A marker message-to-self
-                    // records that our send half already went out, so a
-                    // blocked exchange does not double-send on wake-up.
-                    let (b, t, w) = (bytes, tag, with);
-                    let marker_tag = half_exchange_tag(w, t);
-                    let already_sent = mailbox.pop(r, r, marker_tag).is_some();
-                    if !already_sent {
-                        post_send(&mut states, &mut mailbox, &mut ledgers, tracer, r, w, b, t);
-                        if !in_queue[w] {
-                            runnable.push_back(w);
-                            in_queue[w] = true;
+                    // schedule is honoured. `half_sent` records that our
+                    // send half already went out, so a blocked exchange
+                    // does not double-send on wake-up.
+                    if !states[r].half_sent {
+                        post_send(
+                            &mut states,
+                            &mut mailbox,
+                            &mut ledgers,
+                            tracer,
+                            r,
+                            with,
+                            bytes,
+                            tag,
+                        );
+                        if !in_queue[with] {
+                            runnable.push_back(with);
+                            in_queue[with] = true;
                         }
                     }
                     // Wait for the partner's half.
-                    match mailbox.pop(w, r, t) {
-                        Some(arrival) => finish_recv(tracer, &mut states[r], r, arrival),
+                    match mailbox.pop(with, r, tag) {
+                        Some(arrival) => {
+                            states[r].half_sent = false;
+                            finish_recv(tracer, &mut states[r], r, arrival);
+                        }
                         None => {
-                            mailbox.push(r, r, marker_tag, 0.0);
+                            states[r].half_sent = true;
                             break;
                         }
                     }
@@ -828,14 +842,6 @@ fn simulate_core<T: Tracer, M: MailboxOps, P: Programs + ?Sized, F: Fabric + ?Si
         faults: stats,
     })
 }
-
-/// Tag used by the marker message-to-self that records a half-done
-/// exchange (send half out, recv half still blocked).
-pub(crate) fn half_exchange_tag(with: usize, tag: u64) -> u64 {
-    (tag ^ ((with as u64) << 32)) | HALF_EXCHANGE_BIT
-}
-
-const HALF_EXCHANGE_BIT: u64 = 1 << 63;
 
 #[cfg(test)]
 mod tests {
@@ -1179,10 +1185,9 @@ mod tests {
 
     #[test]
     fn indexed_mailbox_matches_reference_mailbox() {
-        // The optimized per-sender channel index must be bit-identical
-        // to the original HashMap mailbox, including under faults
-        // (sequence numbers feed the drop sampling) and exchanges
-        // (marker messages-to-self ride the same storage).
+        // The slab mailbox must be bit-identical to the original
+        // HashMap mailbox, including under faults (sequence numbers
+        // feed the drop sampling) and blocked exchanges.
         let progs = mixed_progs(8);
         for plan in [FaultPlan::none(), FaultPlan::with_drops(7, 0.3)] {
             let indexed = simulate_with_faults(&progs, &place(8), &fabric(), &plan).unwrap();

@@ -6,12 +6,15 @@
 //! `HashMap<MsgKey, VecDeque<f64>>` (plus a second map for send
 //! sequence numbers), paying two SipHash computations per message.
 //!
-//! [`IndexedMailbox`] replaces the hash with an index: channels are
-//! bucketed per *sender*, and a sender's active `(to, tag)` channels
-//! live in a small `Vec` scanned linearly. The workloads here are
-//! stencil/ring/wavefront codes where a rank talks to a handful of
-//! neighbours on a handful of tags, so the scan is a few cache-resident
-//! comparisons — no hashing, no pointer chasing. Channels also fuse the
+//! [`IndexedMailbox`] replaces the hash with an index and the per-key
+//! queues with one slab. All channels live in one table; each sender
+//! heads a short chain of its `(to, tag)` channels, scanned linearly.
+//! The workloads here are stencil/ring/wavefront codes where a rank
+//! talks to a handful of neighbours on a handful of tags, so the scan
+//! is a few comparisons — no hashing. Undelivered arrivals live in one
+//! slab, linked FIFO per channel, and a delivered slot goes onto a free
+//! list for the next send. A run therefore allocates a few growing
+//! vectors, not one queue per channel. Channels also fuse the
 //! send-sequence counter with the queue, halving the bookkeeping.
 //!
 //! The original implementation is kept as [`ReferenceMailbox`]
@@ -37,69 +40,140 @@ pub trait MailboxOps {
     fn next_seq(&mut self, from: usize, to: usize, tag: u64) -> u64;
 }
 
-/// One sender's active channel to a `(to, tag)` destination.
-#[derive(Debug, Default)]
+/// End of a chain: no channel, no slot.
+const NIL: u32 = u32::MAX;
+
+/// One sender's channel to a `(to, tag)` destination.
+#[derive(Debug)]
 struct Channel {
-    to: usize,
     tag: u64,
-    /// FIFO of undelivered arrival times.
-    queue: VecDeque<f64>,
+    to: u32,
     /// Messages ever sent on this channel.
     next_seq: u64,
+    /// The sender's next channel, or [`NIL`].
+    next: u32,
+    /// Oldest undelivered arrival in the slab, or [`NIL`] when empty.
+    head: u32,
+    /// Newest undelivered arrival; meaningless when `head` is [`NIL`].
+    tail: u32,
 }
 
-/// Hash-free mailbox: per-sender channel lists, scanned linearly.
+/// One slab slot: an undelivered arrival linked to the next one on its
+/// channel, or a free slot linked to the next free one.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    arrival: f64,
+    next: u32,
+}
+
+/// Hash-free mailbox: one channel table with per-sender chains, and one
+/// arrival slab with a free list.
 ///
-/// A channel, once created, is never removed — the set of `(to, tag)`
-/// pairs a rank uses is small and static in every workload here, so
-/// the list stays short and hot in cache for the whole simulation.
+/// A channel, once created, stays in the table for the rest of the run —
+/// the set of `(to, tag)` pairs a rank uses is small and static in every
+/// workload here. Slots are recycled: the slab only grows to the most
+/// messages ever in flight at once.
 #[derive(Debug)]
 pub struct IndexedMailbox {
-    by_sender: Vec<Vec<Channel>>,
+    /// First channel of each sender's chain, or [`NIL`].
+    heads: Vec<u32>,
+    channels: Vec<Channel>,
+    slots: Vec<Slot>,
+    /// First free slot, or [`NIL`].
+    free: u32,
 }
 
 impl IndexedMailbox {
-    fn chan(&mut self, from: usize, to: usize, tag: u64) -> &mut Channel {
-        let chans = &mut self.by_sender[from];
-        match chans.iter().position(|c| c.to == to && c.tag == tag) {
-            Some(i) => &mut chans[i],
-            None => {
-                chans.push(Channel {
-                    to,
-                    tag,
-                    ..Channel::default()
-                });
-                chans.last_mut().expect("just pushed")
+    /// Index of the channel, or `None` if it was never used (the pop
+    /// path must not create channels for messages never sent).
+    fn find(&self, from: usize, to: usize, tag: u64) -> Option<usize> {
+        let mut i = self.heads[from];
+        while i != NIL {
+            let c = &self.channels[i as usize];
+            if c.to as usize == to && c.tag == tag {
+                return Some(i as usize);
             }
+            i = c.next;
         }
+        None
     }
 
-    /// Look up without creating (the pop path must not allocate
-    /// channels for messages never sent).
-    fn chan_mut(&mut self, from: usize, to: usize, tag: u64) -> Option<&mut Channel> {
-        self.by_sender[from]
-            .iter_mut()
-            .find(|c| c.to == to && c.tag == tag)
+    /// Index of the channel, created at the head of the sender's chain
+    /// on first use.
+    fn chan(&mut self, from: usize, to: usize, tag: u64) -> usize {
+        if let Some(i) = self.find(from, to, tag) {
+            return i;
+        }
+        let i = self.channels.len();
+        self.channels.push(Channel {
+            tag,
+            to: index(to),
+            next_seq: 0,
+            next: self.heads[from],
+            head: NIL,
+            tail: NIL,
+        });
+        self.heads[from] = index(i);
+        i
     }
+}
+
+/// A rank or table index in 32 bits (never [`NIL`]).
+fn index(i: usize) -> u32 {
+    u32::try_from(i)
+        .ok()
+        .filter(|&i| i != NIL)
+        .expect("mailbox index fits in u32")
 }
 
 impl MailboxOps for IndexedMailbox {
     fn with_ranks(n: usize) -> Self {
         IndexedMailbox {
-            by_sender: (0..n).map(|_| Vec::new()).collect(),
+            heads: vec![NIL; n],
+            channels: Vec::new(),
+            slots: Vec::new(),
+            free: NIL,
         }
     }
 
     fn push(&mut self, from: usize, to: usize, tag: u64, arrival: f64) {
-        self.chan(from, to, tag).queue.push_back(arrival);
+        let c = self.chan(from, to, tag);
+        let slot = Slot { arrival, next: NIL };
+        let s = if self.free == NIL {
+            self.slots.push(slot);
+            index(self.slots.len() - 1)
+        } else {
+            let s = self.free;
+            self.free = self.slots[s as usize].next;
+            self.slots[s as usize] = slot;
+            s
+        };
+        let chan = &mut self.channels[c];
+        if chan.head == NIL {
+            chan.head = s;
+        } else {
+            self.slots[chan.tail as usize].next = s;
+        }
+        chan.tail = s;
     }
 
     fn pop(&mut self, from: usize, to: usize, tag: u64) -> Option<f64> {
-        self.chan_mut(from, to, tag)?.queue.pop_front()
+        let c = self.find(from, to, tag)?;
+        let chan = &mut self.channels[c];
+        let s = chan.head;
+        if s == NIL {
+            return None;
+        }
+        let slot = self.slots[s as usize];
+        chan.head = slot.next;
+        self.slots[s as usize].next = self.free;
+        self.free = s;
+        Some(slot.arrival)
     }
 
     fn next_seq(&mut self, from: usize, to: usize, tag: u64) -> u64 {
-        let c = self.chan(from, to, tag);
+        let i = self.chan(from, to, tag);
+        let c = &mut self.channels[i];
         let seq = c.next_seq;
         c.next_seq += 1;
         seq
@@ -154,9 +228,9 @@ mod tests {
     fn exercise<M: MailboxOps>() -> Vec<(Option<f64>, u64)> {
         let mut m = M::with_ranks(4);
         let mut log = Vec::new();
-        // Interleave two channels of the same sender plus a self-channel
-        // (the engine's exchange marker pattern), checking FIFO order
-        // and per-channel sequence isolation.
+        // Interleave two channels of the same sender plus a
+        // self-channel, checking FIFO order and per-channel sequence
+        // isolation.
         log.push((None, m.next_seq(0, 1, 7)));
         m.push(0, 1, 7, 1.0);
         m.push(0, 1, 7, 2.0);
@@ -185,8 +259,47 @@ mod tests {
         assert_eq!(log[7], (Some(0.0), 0));
     }
 
+    /// A seeded random walk of `push`/`pop`/`next_seq` over 6 ranks × 6
+    /// destinations × 5 tags (up to 30 channels per sender). The walk
+    /// alternates push-heavy and pop-heavy stretches, so queues grow
+    /// deep, drain, and refill through recycled slots. Returns the log
+    /// of every result and the number of pushes.
+    fn random_walk<M: MailboxOps>(m: &mut M, seed: u64) -> (Vec<(Option<f64>, u64)>, usize) {
+        let mut rng = proptest::TestRng::new(seed);
+        let mut log = Vec::new();
+        let mut pushes = 0;
+        for step in 0..2_000u32 {
+            let from = (rng.next_u64() % 6) as usize;
+            let to = (rng.next_u64() % 6) as usize;
+            let tag = (rng.next_u64() % 5) | ((rng.next_u64() % 2) << 63);
+            let push_share = if (step / 100) % 2 == 0 { 6 } else { 2 };
+            match rng.next_u64() % 10 {
+                k if k < push_share => {
+                    pushes += 1;
+                    m.push(from, to, tag, rng.next_f64());
+                }
+                k if k < 9 => log.push((m.pop(from, to, tag), 0)),
+                _ => log.push((None, m.next_seq(from, to, tag))),
+            }
+        }
+        (log, pushes)
+    }
+
     #[test]
     fn indexed_matches_reference() {
         assert_eq!(exercise::<IndexedMailbox>(), exercise::<ReferenceMailbox>());
+        for seed in 0..64 {
+            let mut indexed = IndexedMailbox::with_ranks(6);
+            let mut reference = ReferenceMailbox::with_ranks(6);
+            let (got, pushes) = random_walk(&mut indexed, seed);
+            let (want, _) = random_walk(&mut reference, seed);
+            assert_eq!(got, want, "seed {seed}");
+            // Delivered slots were handed to later sends.
+            assert!(indexed.slots.len() < pushes, "seed {seed}: no slot reuse");
+            assert!(indexed
+                .heads
+                .iter()
+                .any(|&h| { h != NIL && indexed.channels[h as usize].next != NIL }));
+        }
     }
 }

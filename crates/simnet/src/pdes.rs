@@ -71,8 +71,8 @@ use columbia_obs::{EventBuffer, NullTracer, Tracer};
 
 use crate::engine::{
     apply_collective_release, apply_compute, charge_send, collective_cost, collective_payload,
-    collective_source, connection_check, finish_recv, half_exchange_tag, simulate_generic,
-    FaultLedger, Op, RankResult, RankState, SimOutcome,
+    collective_source, connection_check, finish_recv, simulate_generic, FaultLedger, Op,
+    RankResult, RankState, SimOutcome,
 };
 use crate::error::{DeadlockReport, PendingOp, SimError};
 use crate::fabric::Fabric;
@@ -526,24 +526,23 @@ fn run_until_blocked<P, F, B>(
                     None => break, // blocked: the send is remote or future
                 },
                 Op::Exchange { with, bytes, tag } => {
-                    // Same decomposition as the serial engine: a marker
-                    // message-to-self records a completed send half so a
-                    // blocked exchange does not double-send on wake-up.
-                    let (b, t, w) = (bytes, tag, with);
-                    let marker_tag = half_exchange_tag(w, t);
-                    let already_sent = part.mailbox.pop(r, r, marker_tag).is_some();
-                    if !already_sent {
+                    // Same decomposition as the serial engine: the
+                    // rank's `half_sent` flag records a completed send
+                    // half so a blocked exchange does not double-send
+                    // on wake-up.
+                    if !part.states[li].half_sent {
                         post_send_partitioned(
-                            part, fabric, plan, cpus, part_of, local_of, mux_delay, own, li, r, w,
-                            b, t,
+                            part, fabric, plan, cpus, part_of, local_of, mux_delay, own, li, r,
+                            with, bytes, tag,
                         );
                     }
-                    match part.mailbox.pop(w, r, t) {
+                    match part.mailbox.pop(with, r, tag) {
                         Some(arrival) => {
-                            finish_recv(&mut part.buf, &mut part.states[li], r, arrival)
+                            part.states[li].half_sent = false;
+                            finish_recv(&mut part.buf, &mut part.states[li], r, arrival);
                         }
                         None => {
-                            part.mailbox.push(r, r, marker_tag, 0.0);
+                            part.states[li].half_sent = true;
                             break;
                         }
                     }

@@ -22,7 +22,7 @@
 
 use columbia::machine::cluster::{ClusterConfig, CpuId, InterNodeFabric, NodeId};
 use columbia::machine::node::NodeKind;
-use columbia::obs::RecordingTracer;
+use columbia::obs::{EdgeKind, RecordingTracer, SpanKind};
 use columbia::simnet::fabric::{CachedFabric, ClusterFabric, Fabric, MptVersion};
 use columbia::simnet::{
     simulate_on, simulate_parallel_on, simulate_parallel_traced_on, simulate_traced_on, FaultPlan,
@@ -256,6 +256,104 @@ proptest! {
         for threads in [2usize, 3, 7] {
             let parallel = simulate_parallel_on(&programs, &cpus, &fabric, &plan, threads);
             prop_assert_eq!(format!("{serial:?}"), format!("{parallel:?}"));
+        }
+    }
+}
+
+/// One step of an exchange-heavy program: compute, then exchange with
+/// the partner `r ^ (1 << mask_bit)`.
+#[derive(Debug, Clone)]
+struct ExchangeStep {
+    mask_bit: u32,
+    bytes: u64,
+    tag: u64,
+    secs: f64,
+}
+
+#[derive(Debug, Clone)]
+struct ExchangeStepStrategy;
+
+impl Strategy for ExchangeStepStrategy {
+    type Value = ExchangeStep;
+
+    fn generate(&self, rng: &mut TestRng) -> ExchangeStep {
+        ExchangeStep {
+            mask_bit: (rng.next_u64() % 4) as u32,
+            bytes: 1 + rng.next_u64() % 65535,
+            tag: rng.next_u64() % 3,
+            secs: 1e-7 + rng.next_f64() * 1e-4,
+        }
+    }
+}
+
+/// Exchange-heavy programs over a power-of-two `n`: each step, every
+/// rank computes for a rank-skewed time and then exchanges with its XOR
+/// partner. Tags repeat across steps, so per-channel FIFO order
+/// matters.
+fn exchange_programs(steps: &[ExchangeStep], n: usize) -> Vec<Vec<Op>> {
+    (0..n)
+        .map(|r| {
+            let skew = ((r * 7 + 3) % 5) as f64;
+            let mut ops = Vec::new();
+            for step in steps {
+                let mask = 1usize << (step.mask_bit % n.trailing_zeros());
+                ops.push(Op::Compute(step.secs * (1.0 + skew)));
+                ops.push(Op::Exchange {
+                    with: r ^ mask,
+                    bytes: step.bytes,
+                    tag: step.tag,
+                });
+            }
+            ops
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Exchanges that block and resume. XOR partners sit on different
+    /// nodes, and skewed compute makes one side of each pair reach the
+    /// exchange first, so it sends its half, blocks, and later resumes
+    /// without sending again. Serial and 2/3/7 threads agree bit for
+    /// bit, with and without drops, outcomes and traces alike.
+    #[test]
+    fn blocked_exchanges_resume_identically(
+        n_nodes in prop::sample::select(vec![2usize, 4]),
+        per_node in prop::sample::select(vec![2usize, 4]),
+        steps in prop::collection::vec(ExchangeStepStrategy, 1..12),
+        drop_seed in 1u64..1000,
+        drop_prob in 0.01f64..0.4,
+    ) {
+        let (fabric, cpus) = placement(&vec![NodeKind::Bx2b; n_nodes], per_node);
+        let n = cpus.len();
+        let programs = exchange_programs(&steps, n);
+        for plan in [FaultPlan::none(), FaultPlan::with_drops(drop_seed, drop_prob)] {
+            let mut serial_trace = RecordingTracer::default();
+            let serial = simulate_traced_on(&programs, &cpus, &fabric, &plan, &mut serial_trace)
+                .expect("pairwise exchanges never deadlock");
+            // One message per exchange: a resumed exchange never re-sends.
+            let messages = serial_trace
+                .edges
+                .iter()
+                .filter(|e| e.kind == EdgeKind::Message)
+                .count();
+            prop_assert_eq!(messages, n * steps.len());
+            prop_assert!(serial_trace.spans.iter().any(|s| s.kind == SpanKind::RecvWait));
+            for threads in [2usize, 3, 7] {
+                let parallel = simulate_parallel_on(&programs, &cpus, &fabric, &plan, threads)
+                    .expect("parallel run of pairwise exchanges");
+                assert_outcomes_identical(&serial, &parallel);
+                let mut parallel_trace = RecordingTracer::default();
+                let traced = simulate_parallel_traced_on(
+                    &programs, &cpus, &fabric, &plan, &mut parallel_trace, threads,
+                )
+                .expect("traced parallel run");
+                assert_outcomes_identical(&serial, &traced);
+                prop_assert_eq!(&serial_trace.spans, &parallel_trace.spans);
+                prop_assert_eq!(&serial_trace.edges, &parallel_trace.edges);
+                prop_assert_eq!(&serial_trace.metrics, &parallel_trace.metrics);
+            }
         }
     }
 }
