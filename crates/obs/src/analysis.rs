@@ -35,6 +35,7 @@ use std::collections::BTreeMap;
 use serde_json::Value;
 
 use crate::metrics::Histogram;
+use crate::object;
 use crate::sink::TraceBundle;
 use crate::tracer::{CausalEdge, EdgeKind, SpanEvent, SpanKind, Track};
 
@@ -138,11 +139,7 @@ impl Breakdown {
     }
 
     fn to_value(self) -> Value {
-        let mut v = Value::object();
-        for c in Category::ALL {
-            v.set(c.name(), Value::Number(self.get(c)));
-        }
-        v
+        object(Category::ALL.map(|c| (c.name(), Value::Number(self.get(c)))))
     }
 }
 
@@ -221,14 +218,14 @@ impl Imbalance {
     }
 
     fn to_value(self) -> Value {
-        let mut v = Value::object();
-        v.set("n_ranks", Value::Number(self.n_ranks as f64));
-        v.set("max_busy", Value::Number(self.max_busy));
-        v.set("mean_busy", Value::Number(self.mean_busy));
-        v.set("p95_busy", Value::Number(self.p95_busy));
-        v.set("ratio", Value::Number(self.ratio()));
-        v.set("idle_fraction", Value::Number(self.idle_fraction));
-        v
+        object([
+            ("n_ranks", Value::Number(self.n_ranks as f64)),
+            ("max_busy", Value::Number(self.max_busy)),
+            ("mean_busy", Value::Number(self.mean_busy)),
+            ("p95_busy", Value::Number(self.p95_busy)),
+            ("ratio", Value::Number(self.ratio())),
+            ("idle_fraction", Value::Number(self.idle_fraction)),
+        ])
     }
 }
 
@@ -279,82 +276,85 @@ impl Analysis {
     /// Render as ordered JSON (one sim's entry of the
     /// [`ANALYSIS_SCHEMA`] document).
     pub fn to_value(&self) -> Value {
-        let mut v = Value::object();
         let cp = &self.critical_path;
-        v.set("makespan", Value::Number(cp.makespan));
-        let mut c = Value::object();
-        c.set("total", Value::Number(cp.total));
-        c.set("end_rank", Value::Number(cp.end_rank as f64));
-        c.set("truncated", Value::Bool(cp.truncated));
-        c.set("breakdown", cp.breakdown.to_value());
         let by_rank = cp
             .by_rank
             .iter()
             .map(|(r, b)| {
-                let mut e = Value::object();
-                e.set("rank", Value::Number(*r as f64));
-                e.set("breakdown", b.to_value());
-                e
+                object([
+                    ("rank", Value::Number(*r as f64)),
+                    ("breakdown", b.to_value()),
+                ])
             })
             .collect();
-        c.set("by_rank", Value::Array(by_rank));
         let by_node = cp
             .by_node
             .iter()
             .map(|(n, b)| {
-                let mut e = Value::object();
-                e.set("node", Value::Number(*n as f64));
-                e.set("breakdown", b.to_value());
-                e
+                object([
+                    ("node", Value::Number(*n as f64)),
+                    ("breakdown", b.to_value()),
+                ])
             })
             .collect();
-        c.set("by_node", Value::Array(by_node));
         let segments = cp
             .segments
             .iter()
             .map(|s| {
-                let mut e = Value::object();
-                e.set("rank", Value::Number(s.rank as f64));
-                e.set("category", Value::String(s.category.name().into()));
-                e.set("start", Value::Number(s.start));
-                e.set("end", Value::Number(s.end));
-                e
+                object([
+                    ("rank", Value::Number(s.rank as f64)),
+                    ("category", Value::String(s.category.name().into())),
+                    ("start", Value::Number(s.start)),
+                    ("end", Value::Number(s.end)),
+                ])
             })
             .collect();
-        c.set("segments", Value::Array(segments));
         let hops = cp
             .hops
             .iter()
             .map(|h| {
-                let mut e = Value::object();
-                e.set("kind", Value::String(h.kind.name().into()));
-                e.set("src_rank", Value::Number(h.src_rank as f64));
-                e.set("src_time", Value::Number(h.src_time));
-                e.set("dst_rank", Value::Number(h.dst_rank as f64));
-                e.set("dst_time", Value::Number(h.dst_time));
-                e
+                object([
+                    ("kind", Value::String(h.kind.name().into())),
+                    ("src_rank", Value::Number(h.src_rank as f64)),
+                    ("src_time", Value::Number(h.src_time)),
+                    ("dst_rank", Value::Number(h.dst_rank as f64)),
+                    ("dst_time", Value::Number(h.dst_time)),
+                ])
             })
             .collect();
-        c.set("hops", Value::Array(hops));
-        v.set("critical_path", c);
-        v.set("imbalance", self.imbalance.to_value());
         let matrix = self
             .comm_matrix
             .iter()
             .map(|p| {
-                let mut e = Value::object();
-                e.set("from_rank", Value::Number(p.from_rank as f64));
-                e.set("to_rank", Value::Number(p.to_rank as f64));
-                e.set("from_node", Value::Number(p.from_node as f64));
-                e.set("to_node", Value::Number(p.to_node as f64));
-                e.set("messages", Value::Number(p.messages as f64));
-                e.set("bytes", Value::Number(p.bytes as f64));
-                e.set("cost", Value::Number(p.cost));
-                e
+                object([
+                    ("from_rank", Value::Number(p.from_rank as f64)),
+                    ("to_rank", Value::Number(p.to_rank as f64)),
+                    ("from_node", Value::Number(p.from_node as f64)),
+                    ("to_node", Value::Number(p.to_node as f64)),
+                    ("messages", Value::Number(p.messages as f64)),
+                    ("bytes", Value::Number(p.bytes as f64)),
+                    ("cost", Value::Number(p.cost)),
+                ])
             })
             .collect();
-        v.set("comm_matrix", Value::Array(matrix));
-        v
+        object([
+            ("makespan", Value::Number(cp.makespan)),
+            (
+                "critical_path",
+                object([
+                    ("total", Value::Number(cp.total)),
+                    ("end_rank", Value::Number(cp.end_rank as f64)),
+                    ("truncated", Value::Bool(cp.truncated)),
+                    ("breakdown", cp.breakdown.to_value()),
+                    ("by_rank", Value::Array(by_rank)),
+                    ("by_node", Value::Array(by_node)),
+                    ("segments", Value::Array(segments)),
+                    ("hops", Value::Array(hops)),
+                ]),
+            ),
+            ("imbalance", self.imbalance.to_value()),
+            ("comm_matrix", Value::Array(matrix)),
+        ])
     }
 }
 
@@ -370,9 +370,9 @@ pub fn analyze(bundle: &TraceBundle) -> Analysis {
 }
 
 /// Number of ranks a bundle describes (profile size, topology size, or
-/// max span/edge rank + 1 — whichever is largest, so hand-built test
+/// max span/edge rank + 1 — whichever is largest, so hand-built
 /// bundles work too).
-fn rank_count(bundle: &TraceBundle) -> usize {
+pub(crate) fn rank_count(bundle: &TraceBundle) -> usize {
     let mut n = bundle.profile.ranks.len().max(bundle.rank_nodes.len());
     for s in &bundle.spans {
         n = n.max(s.rank + 1);

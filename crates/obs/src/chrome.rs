@@ -12,67 +12,152 @@
 
 use serde_json::Value;
 
-use crate::analysis::CriticalPath;
+use crate::analysis::{rank_count, CriticalPath};
 use crate::host::{HostReport, HostTrack};
+use crate::object;
 use crate::sink::TraceBundle;
-use crate::tracer::{SpanEvent, Track};
+use crate::tracer::Track;
 
 /// Seconds → trace-event microseconds.
 fn us(t: f64) -> f64 {
     t * 1e6
 }
 
-fn meta(name: &str, pid: usize, tid: usize, arg: &str) -> Value {
-    let mut args = Value::object();
-    args.set("name", Value::String(arg.to_string()));
-    let mut e = Value::object();
-    e.set("ph", Value::String("M".into()));
-    e.set("name", Value::String(name.into()));
-    e.set("pid", Value::Number(pid as f64));
-    e.set("tid", Value::Number(tid as f64));
-    e.set("args", args);
-    e
+fn meta(name: &str, pid: usize, tid: usize, arg: impl Into<String>) -> Value {
+    object([
+        ("ph", Value::String("M".into())),
+        ("name", Value::String(name.into())),
+        ("pid", Value::Number(pid as f64)),
+        ("tid", Value::Number(tid as f64)),
+        ("args", object([("name", Value::String(arg.into()))])),
+    ])
 }
 
-fn complete(span: &SpanEvent, pid: usize, tid: usize) -> Value {
-    let mut e = Value::object();
-    e.set("name", Value::String(span.kind.name().into()));
-    e.set(
-        "cat",
-        Value::String(
-            match span.kind.track() {
-                Track::Cpu => "cpu",
-                Track::Net => "net",
-            }
-            .into(),
-        ),
-    );
-    e.set("ph", Value::String("X".into()));
-    e.set("ts", Value::Number(us(span.start)));
-    e.set("dur", Value::Number(us(span.duration())));
-    e.set("pid", Value::Number(pid as f64));
-    e.set("tid", Value::Number(tid as f64));
-    e
+fn complete(name: String, cat: &str, start: f64, dur: f64, pid: usize, tid: usize) -> Value {
+    object([
+        ("name", Value::String(name)),
+        ("cat", Value::String(cat.into())),
+        ("ph", Value::String("X".into())),
+        ("ts", Value::Number(us(start))),
+        ("dur", Value::Number(us(dur))),
+        ("pid", Value::Number(pid as f64)),
+        ("tid", Value::Number(tid as f64)),
+    ])
 }
 
-/// Render one host-side span as a complete event on the host process.
-fn host_complete(span: &crate::host::HostSpan, pid: usize, tid: usize) -> Value {
-    let mut e = Value::object();
-    e.set("name", Value::String(span.label.clone()));
-    e.set("cat", Value::String(span.cat.into()));
-    e.set("ph", Value::String("X".into()));
-    e.set("ts", Value::Number(us(span.start)));
-    e.set("dur", Value::Number(us(span.duration())));
-    e.set("pid", Value::Number(pid as f64));
-    e.set("tid", Value::Number(tid as f64));
-    if !span.args.is_empty() {
-        let mut args = Value::object();
-        for (k, v) in &span.args {
-            args.set(k, v.clone());
-        }
-        e.set("args", args);
+/// One end of a critical-path flow arrow.
+fn flow(ph: &str, id: usize, pid: usize, tid: usize, t: f64) -> Value {
+    let mut fields = Vec::with_capacity(8);
+    fields.push(("ph".to_string(), Value::String(ph.into())));
+    if ph == "f" {
+        fields.push(("bp".into(), Value::String("e".into())));
     }
-    e
+    fields.extend([
+        ("id".into(), Value::Number(id as f64)),
+        ("name".into(), Value::String("critical-path".into())),
+        ("cat".into(), Value::String("cp".into())),
+        ("pid".into(), Value::Number(pid as f64)),
+        ("tid".into(), Value::Number(tid as f64)),
+        ("ts".into(), Value::Number(us(t))),
+    ]);
+    Value::Object(fields)
+}
+
+/// Simulation `pid`'s events: its process name, every span, then the
+/// names of the tracks that carried a span.
+fn sim_events(events: &mut Vec<Value>, pid: usize, bundle: &TraceBundle) {
+    let n_ranks = rank_count(bundle);
+    events.push(meta("process_name", pid, 0, bundle.label.clone()));
+    let mut rank_seen = vec![false; n_ranks];
+    let mut net_seen = vec![false; n_ranks];
+    for span in &bundle.spans {
+        let (cat, tid) = match span.kind.track() {
+            Track::Cpu => {
+                rank_seen[span.rank] = true;
+                ("cpu", span.rank)
+            }
+            Track::Net => {
+                net_seen[span.rank] = true;
+                ("net", n_ranks + span.rank)
+            }
+        };
+        let name = span.kind.name().into();
+        events.push(complete(name, cat, span.start, span.duration(), pid, tid));
+    }
+    for (r, seen) in rank_seen.iter().enumerate() {
+        if *seen {
+            events.push(meta("thread_name", pid, r, format!("rank {r}")));
+        }
+    }
+    for (r, seen) in net_seen.iter().enumerate() {
+        if *seen {
+            let name = format!("rank {r} (net)");
+            events.push(meta("thread_name", pid, n_ranks + r, name));
+        }
+    }
+}
+
+/// The host process `pid`: its name, every span (with its args), then
+/// one track name per worker lane and the store track's, if used.
+fn host_events(events: &mut Vec<Value>, pid: usize, host: &HostReport) {
+    let workers = host.workers();
+    // Store track sits after the last worker lane (or at 0 when no
+    // worker ever recorded — a store-only capture still renders).
+    let store_tid = workers.last().map_or(0, |w| *w as usize + 1);
+    events.push(meta("process_name", pid, 0, "host executor (wall clock)"));
+    let mut store_seen = false;
+    for span in &host.spans {
+        let tid = match span.track {
+            HostTrack::Worker(w) => w as usize,
+            HostTrack::Store => {
+                store_seen = true;
+                store_tid
+            }
+        };
+        let label = span.label.clone();
+        let mut e = complete(label, span.cat, span.start, span.duration(), pid, tid);
+        if !span.args.is_empty() {
+            let mut args = Value::Object(Vec::with_capacity(span.args.len()));
+            for (k, v) in &span.args {
+                args.set(k, v.clone());
+            }
+            e.set("args", args);
+        }
+        events.push(e);
+    }
+    for w in &workers {
+        events.push(meta("thread_name", pid, *w as usize, format!("worker {w}")));
+    }
+    if store_seen {
+        events.push(meta("thread_name", pid, store_tid, "checkpoint store"));
+    }
+}
+
+/// The whole export: every simulation's events, then the host
+/// process's, then the critical-path flows, in one event list wrapped
+/// once (a capture of the full paper runs to over half a million
+/// events, so nothing here copies the list).
+fn document(bundles: &[TraceBundle], host: Option<&HostReport>, paths: &[CriticalPath]) -> Value {
+    let paths = &paths[..paths.len().min(bundles.len())];
+    let mut events = Vec::new();
+    for (pid, bundle) in bundles.iter().enumerate() {
+        sim_events(&mut events, pid, bundle);
+    }
+    if let Some(host) = host {
+        host_events(&mut events, bundles.len(), host);
+    }
+    let mut id = 0usize;
+    for (pid, path) in paths.iter().enumerate() {
+        for hop in path.hops.iter().filter(|h| h.src_rank != h.dst_rank) {
+            id += 1;
+            events.push(flow("s", id, pid, hop.src_rank, hop.src_time));
+            events.push(flow("f", id, pid, hop.dst_rank, hop.dst_time));
+        }
+    }
+    object([
+        ("traceEvents", Value::Array(events)),
+        ("displayTimeUnit", Value::String("ms".into())),
+    ])
 }
 
 /// Render `bundles` plus an optional host-telemetry capture as one
@@ -87,46 +172,7 @@ fn host_complete(span: &crate::host::HostSpan, pid: usize, tid: usize) -> Value 
 /// the capture epoch, so in Perfetto the executor's real occupancy
 /// reads side by side with the simulators' virtual timelines.
 pub fn chrome_trace_with_host(bundles: &[TraceBundle], host: Option<&HostReport>) -> Value {
-    let mut doc = chrome_trace(bundles);
-    let Some(host) = host else {
-        return doc;
-    };
-    let pid = bundles.len();
-    let workers = host.workers();
-    // Store track sits after the last worker lane (or at 0 when no
-    // worker ever recorded — a store-only capture still renders).
-    let store_tid = workers.last().map_or(0, |w| *w as usize + 1);
-    let mut events: Vec<Value> = Vec::new();
-    events.push(meta("process_name", pid, 0, "host executor (wall clock)"));
-    let mut store_seen = false;
-    for span in &host.spans {
-        let tid = match span.track {
-            HostTrack::Worker(w) => w as usize,
-            HostTrack::Store => {
-                store_seen = true;
-                store_tid
-            }
-        };
-        events.push(host_complete(span, pid, tid));
-    }
-    for w in &workers {
-        events.push(meta(
-            "thread_name",
-            pid,
-            *w as usize,
-            &format!("worker {w}"),
-        ));
-    }
-    if store_seen {
-        events.push(meta("thread_name", pid, store_tid, "checkpoint store"));
-    }
-    let Some(Value::Array(all)) = doc.get("traceEvents").cloned() else {
-        return doc;
-    };
-    let mut all = all;
-    all.extend(events);
-    doc.set("traceEvents", Value::Array(all));
-    doc
+    document(bundles, host, &[])
 }
 
 /// Render `bundles` plus host telemetry plus critical-path flow
@@ -144,93 +190,18 @@ pub fn chrome_trace_with_flows(
     host: Option<&HostReport>,
     paths: &[CriticalPath],
 ) -> Value {
-    let mut doc = chrome_trace_with_host(bundles, host);
-    let mut flows: Vec<Value> = Vec::new();
-    let mut id = 0usize;
-    for (pid, path) in paths.iter().enumerate().take(bundles.len()) {
-        for hop in &path.hops {
-            if hop.src_rank == hop.dst_rank {
-                continue;
-            }
-            id += 1;
-            let mut s = Value::object();
-            s.set("ph", Value::String("s".into()));
-            s.set("id", Value::Number(id as f64));
-            s.set("name", Value::String("critical-path".into()));
-            s.set("cat", Value::String("cp".into()));
-            s.set("pid", Value::Number(pid as f64));
-            s.set("tid", Value::Number(hop.src_rank as f64));
-            s.set("ts", Value::Number(us(hop.src_time)));
-            flows.push(s);
-            let mut f = Value::object();
-            f.set("ph", Value::String("f".into()));
-            f.set("bp", Value::String("e".into()));
-            f.set("id", Value::Number(id as f64));
-            f.set("name", Value::String("critical-path".into()));
-            f.set("cat", Value::String("cp".into()));
-            f.set("pid", Value::Number(pid as f64));
-            f.set("tid", Value::Number(hop.dst_rank as f64));
-            f.set("ts", Value::Number(us(hop.dst_time)));
-            flows.push(f);
-        }
-    }
-    if flows.is_empty() {
-        return doc;
-    }
-    let Some(Value::Array(all)) = doc.get("traceEvents").cloned() else {
-        return doc;
-    };
-    let mut all = all;
-    all.extend(flows);
-    doc.set("traceEvents", Value::Array(all));
-    doc
+    document(bundles, host, paths)
 }
 
 /// Render `bundles` as one Chrome trace document.
 ///
 /// Simulation `i` is process `i` (named by its bundle label); rank `r`
 /// is thread `r` of that process, and its network activity — if any —
-/// thread `n_ranks + r` (named "rank r (net)").
+/// thread `n_ranks + r` (named "rank r (net)"), where `n_ranks` counts
+/// every rank the bundle mentions (its profile, placement, spans and
+/// edges).
 pub fn chrome_trace(bundles: &[TraceBundle]) -> Value {
-    let mut events: Vec<Value> = Vec::new();
-    for (pid, bundle) in bundles.iter().enumerate() {
-        let n_ranks = bundle.profile.ranks.len();
-        events.push(meta("process_name", pid, 0, &bundle.label));
-        let mut rank_seen = vec![false; n_ranks];
-        let mut net_seen = vec![false; n_ranks];
-        for span in &bundle.spans {
-            let tid = match span.kind.track() {
-                Track::Cpu => {
-                    rank_seen[span.rank] = true;
-                    span.rank
-                }
-                Track::Net => {
-                    net_seen[span.rank] = true;
-                    n_ranks + span.rank
-                }
-            };
-            events.push(complete(span, pid, tid));
-        }
-        for (r, seen) in rank_seen.iter().enumerate() {
-            if *seen {
-                events.push(meta("thread_name", pid, r, &format!("rank {r}")));
-            }
-        }
-        for (r, seen) in net_seen.iter().enumerate() {
-            if *seen {
-                events.push(meta(
-                    "thread_name",
-                    pid,
-                    n_ranks + r,
-                    &format!("rank {r} (net)"),
-                ));
-            }
-        }
-    }
-    let mut doc = Value::object();
-    doc.set("traceEvents", Value::Array(events));
-    doc.set("displayTimeUnit", Value::String("ms".into()));
-    doc
+    document(bundles, None, &[])
 }
 
 #[cfg(test)]
@@ -238,7 +209,7 @@ mod tests {
     use super::*;
     use crate::metrics::Metrics;
     use crate::profile::CommProfile;
-    use crate::tracer::SpanKind;
+    use crate::tracer::{SpanEvent, SpanKind};
 
     fn bundle() -> TraceBundle {
         let spans = vec![
@@ -447,6 +418,35 @@ mod tests {
         let pair = by_id.values().next().unwrap();
         assert_eq!(pair[0].get("tid").and_then(Value::as_f64), Some(0.0));
         assert_eq!(pair[1].get("tid").and_then(Value::as_f64), Some(1.0));
+    }
+
+    #[test]
+    fn a_bundle_without_a_profile_sizes_its_tracks_from_its_spans() {
+        let b = TraceBundle {
+            profile: CommProfile::default(),
+            ..bundle()
+        };
+        let doc = chrome_trace(&[b]);
+        let events = doc.get("traceEvents").and_then(Value::as_array).unwrap();
+        let net = events
+            .iter()
+            .find(|e| e.get("cat").and_then(Value::as_str) == Some("net"))
+            .unwrap();
+        assert_eq!(net.get("tid").and_then(Value::as_f64), Some(2.0));
+        // Placement and edges count too: four placed ranks move the net
+        // tracks to tid 4 onwards.
+        let placed = TraceBundle {
+            profile: CommProfile::default(),
+            rank_nodes: vec![0, 0, 1, 1],
+            ..bundle()
+        };
+        let doc = chrome_trace(&[placed]);
+        let events = doc.get("traceEvents").and_then(Value::as_array).unwrap();
+        let net = events
+            .iter()
+            .find(|e| e.get("cat").and_then(Value::as_str) == Some("net"))
+            .unwrap();
+        assert_eq!(net.get("tid").and_then(Value::as_f64), Some(4.0));
     }
 
     #[test]

@@ -53,6 +53,8 @@ pub mod profile;
 pub mod sink;
 pub mod tracer;
 
+use serde_json::Value;
+
 pub use analysis::{
     analyze, Analysis, Breakdown, Category, CommPair, CriticalPath, Imbalance, PathSegment,
     ANALYSIS_SCHEMA,
@@ -67,3 +69,9 @@ pub use tracer::{
     CausalEdge, EdgeKind, MessageRecord, NullTracer, RecordingTracer, SpanEvent, SpanKind, Tracer,
     Track,
 };
+
+/// An ordered JSON object of exactly `N` fields, allocated at its final
+/// size (an export builds hundreds of thousands of these).
+pub(crate) fn object<const N: usize>(fields: [(&str, Value); N]) -> Value {
+    Value::Object(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+}

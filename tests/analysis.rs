@@ -1,11 +1,12 @@
 //! Integration tests for the simulated-time performance analyzer
 //! (`columbia_obs::analysis`) over real experiment captures, plus the
-//! golden pin of the merged (sim + host) Chrome trace export.
+//! golden pins of the Chrome trace export.
 //!
-//! The chrome-trace golden lives at `tests/golden/chrome_host.txt`;
-//! regenerate it with `UPDATE_GOLDEN=1 cargo test --test analysis`
-//! (which fails the run, forcing a clean confirmation pass — same
-//! workflow as `golden_values`).
+//! The chrome-trace goldens live at `tests/golden/chrome_host.txt` and
+//! `tests/golden/chrome_flows.txt`; regenerate them with
+//! `UPDATE_GOLDEN=1 cargo test --test analysis` (which fails the run,
+//! forcing a clean confirmation pass — same workflow as
+//! `golden_values`).
 
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -13,8 +14,8 @@ use std::sync::Mutex;
 use columbia::experiments::{run_with_jobs, Experiment};
 use columbia::obs::host::{HostReport, HostSpan, HostTrack};
 use columbia::obs::{
-    analyze, chrome_trace_with_host, sink, Analysis, CommProfile, Metrics, SpanEvent, SpanKind,
-    TraceBundle,
+    analyze, chrome_trace_with_flows, chrome_trace_with_host, sink, Analysis, CausalEdge,
+    CommProfile, CriticalPath, EdgeKind, Metrics, SpanEvent, SpanKind, TraceBundle,
 };
 use columbia::sweep::{PointOutput, ResilienceOptions, SweepPlan};
 use serde_json::Value;
@@ -198,17 +199,14 @@ fn host_report() -> HostReport {
     r
 }
 
-/// Golden pin of the merged (simulated-time + host wall-clock) Chrome
-/// trace: the exact serialized JSON is deliberate-update-only, because
-/// downstream tooling (Perfetto configs, trace diff scripts) keys on
-/// event names, track layout, and field order.
-#[test]
-fn merged_chrome_trace_matches_golden() {
-    let doc = chrome_trace_with_host(&[sim_bundle()], Some(&host_report()));
-    let actual = format!("{}\n", serde_json::to_string_pretty(&doc));
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/chrome_host.txt");
+/// Compare `actual` with `tests/golden/<file>`, or rewrite the file
+/// (and fail, forcing a clean confirmation pass) under `UPDATE_GOLDEN`.
+fn check_golden(file: &str, actual: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden")
+        .join(file);
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, &actual)
+        std::fs::write(&path, actual)
             .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
         panic!(
             "UPDATE_GOLDEN: rewrote {}; review `git diff tests/golden/` \
@@ -225,7 +223,128 @@ fn merged_chrome_trace_matches_golden() {
     });
     assert_eq!(
         expected, actual,
-        "merged chrome trace drifted from tests/golden/chrome_host.txt \
+        "chrome trace drifted from tests/golden/{file} \
          (regenerate deliberately with UPDATE_GOLDEN=1)"
+    );
+}
+
+/// Golden pin of the merged (simulated-time + host wall-clock) Chrome
+/// trace: the exact serialized JSON is deliberate-update-only, because
+/// downstream tooling (Perfetto configs, trace diff scripts) keys on
+/// event names, track layout, and field order.
+#[test]
+fn merged_chrome_trace_matches_golden() {
+    let doc = chrome_trace_with_host(&[sim_bundle()], Some(&host_report()));
+    check_golden(
+        "chrome_host.txt",
+        &format!("{}\n", serde_json::to_string_pretty(&doc)),
+    );
+}
+
+fn span(rank: usize, kind: SpanKind, start: f64, end: f64) -> SpanEvent {
+    SpanEvent {
+        rank,
+        kind,
+        start,
+        end,
+    }
+}
+
+fn hop(kind: EdgeKind, src: (usize, f64), dst: (usize, f64)) -> CausalEdge {
+    CausalEdge {
+        kind,
+        src_rank: src.0,
+        src_time: src.1,
+        dst_rank: dst.0,
+        dst_time: dst.1,
+        bytes: 64,
+        wire_time: dst.1 - src.1,
+        fault_delay: 0.0,
+    }
+}
+
+/// Two hand-built simulations with CPU and net tracks, one with a label
+/// that needs escaping and timestamps whose microsecond forms are not
+/// integers.
+fn flow_bundles() -> Vec<TraceBundle> {
+    let make = |label: &str, n: usize, spans: Vec<SpanEvent>| TraceBundle {
+        label: label.into(),
+        profile: CommProfile::from_spans(&spans, n),
+        spans,
+        edges: vec![],
+        rank_nodes: (0..n as u32).collect(),
+        metrics: Metrics::new(),
+    };
+    vec![
+        make(
+            "flows \"A\" \\ 3 ranks",
+            3,
+            vec![
+                span(0, SpanKind::Compute, 0.0, 0.1 + 0.2),
+                span(0, SpanKind::Send, 0.1 + 0.2, 0.4),
+                span(0, SpanKind::MultiplexQueue, 0.3, 0.35),
+                span(1, SpanKind::RecvWait, 0.0, 0.5),
+                span(1, SpanKind::Compute, 0.5, 1.0 / 3.0 + 0.5),
+                span(2, SpanKind::Collective, 1.5e-7, 0.9),
+                span(2, SpanKind::RetransmitBackoff, 0.6, 0.625),
+            ],
+        ),
+        make(
+            "second sim",
+            2,
+            vec![
+                span(0, SpanKind::Compute, 0.0, 2.0),
+                span(1, SpanKind::Compute, 0.0, 1.0),
+                span(1, SpanKind::RecvWait, 1.0, 2.5),
+                span(1, SpanKind::MultiplexQueue, 2.0, 2.5),
+            ],
+        ),
+    ]
+}
+
+/// Critical paths for [`flow_bundles`]: cross-rank message and
+/// collective hops, plus a same-rank hop that draws no arrow.
+fn flow_paths() -> Vec<CriticalPath> {
+    let path = |hops| CriticalPath {
+        hops,
+        ..CriticalPath::default()
+    };
+    vec![
+        path(vec![
+            hop(EdgeKind::Message, (0, 0.1 + 0.2), (1, 0.5)),
+            hop(EdgeKind::Message, (1, 0.5), (1, 0.6)),
+            hop(EdgeKind::Collective, (1, 1.0 / 3.0 + 0.5), (2, 0.9)),
+        ]),
+        path(vec![hop(EdgeKind::Message, (0, 2.0), (1, 2.5))]),
+    ]
+}
+
+/// A host capture whose spans carry string and numeric args.
+fn flow_host_report() -> HostReport {
+    let mut r = host_report();
+    r.spans[0].args.push(("attempts", Value::Number(2.0)));
+    r.spans[1].args = vec![
+        ("bytes", Value::Number(4096.0)),
+        ("outcome", Value::String("written".into())),
+    ];
+    r.spans.push(HostSpan {
+        track: HostTrack::Worker(1),
+        label: "steal \u{e9}".into(),
+        cat: "host.steal",
+        start: 0.25,
+        end: 0.25,
+        args: vec![("victim", Value::Number(0.0))],
+    });
+    r
+}
+
+/// Golden pin of the compact export with critical-path flows, the form
+/// `repro --trace --analyze` writes.
+#[test]
+fn chrome_trace_with_flows_matches_golden() {
+    let doc = chrome_trace_with_flows(&flow_bundles(), Some(&flow_host_report()), &flow_paths());
+    check_golden(
+        "chrome_flows.txt",
+        &format!("{}\n", serde_json::to_string(&doc)),
     );
 }
